@@ -29,7 +29,7 @@ use pt_core::{
 use pt_mda::{discover_with, BalancerClass, MdaConfig, MdaScratch};
 use pt_netsim::routing::NextHop;
 use pt_netsim::time::SimDuration;
-use pt_netsim::{SimTransport, SimulatorPool};
+use pt_netsim::{splitmix64, SimTransport, SimulatorPool};
 use pt_topogen::{DestInfo, SyntheticInternet};
 
 /// Routing-dynamics knobs: the §4 causes that are *events*, not topology.
@@ -202,13 +202,6 @@ pub struct CampaignResult {
     /// so the healthy-unit digest is independent of *where* a panic
     /// struck and of the worker count.
     pub quarantined: Vec<QuarantinedUnit>,
-}
-
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A `(destination, round)` work unit, encoded round-major so unit order

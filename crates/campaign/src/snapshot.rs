@@ -28,14 +28,15 @@ use std::path::{Path, PathBuf};
 use pt_anomaly::CampaignAccumulator;
 use pt_core::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind, StrategyId};
 use pt_mda::BalancerClass;
+use pt_netsim::splitmix64;
 use pt_netsim::time::SimDuration;
 use pt_topogen::SyntheticInternet;
 use pt_wire::UnreachableCode;
 
 use crate::runner::{
     campaign_units, finalize_campaign, finalize_multipath, multipath_units, run_multipath_block,
-    run_units, splitmix64, BlockOutput, CampaignConfig, CampaignResult, MultipathBlock,
-    MultipathConfig, MultipathResult, QuarantinedUnit, UnitDiscovery, UnitId,
+    run_units, BlockOutput, CampaignConfig, CampaignResult, MultipathBlock, MultipathConfig,
+    MultipathResult, QuarantinedUnit, UnitDiscovery, UnitId,
 };
 
 /// Magic first-line prefix; bump the version when the format changes.

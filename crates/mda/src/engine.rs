@@ -50,6 +50,7 @@
 use std::net::Ipv4Addr;
 
 use pt_core::{prefix_u16, prefix_u32, quotation_for, Transport};
+use pt_netsim::splitmix64;
 use pt_netsim::time::{SimDuration, SimTime};
 use pt_wire::ipv4::{protocol, Ipv4Header};
 use pt_wire::tcp::{flags as tcp_flags, TcpSegment};
@@ -331,16 +332,6 @@ fn match_response(
         }
     };
     (tag & 0x8000 != 0).then_some(tag & ID_SPACE)
-}
-
-/// SplitMix64 — the same tiny generator the campaign layer uses to
-/// derive per-unit seeds; here it turns `(seed, key)` into retry
-/// jitter without any RNG state to carry.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Flow budget for a hop with no interface yet: the configured

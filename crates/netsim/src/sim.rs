@@ -111,14 +111,14 @@ struct NodeState {
     /// When `icmp_tokens` was last settled (whole-token boundaries
     /// only, so fractional refill credit carries forward exactly).
     icmp_tokens_at: SimTime,
-    /// Whether this node is already listed in `Simulator::dirty_inboxes`
+    /// Whether this node is already listed in `SimState::dirty_inboxes`
     /// for the current epoch (keeps that list O(distinct nodes), not
     /// O(deliveries)).
     inbox_dirty: bool,
     /// Which simulator epoch this slot was derived for. A slot whose
     /// epoch trails the simulator's is *stale*: its contents are
     /// leftovers from before the last [`Simulator::reset`] and must be
-    /// re-derived before use ([`Simulator::freshen`]).
+    /// re-derived before use ([`SimState::freshen`]).
     epoch: u64,
 }
 
@@ -150,7 +150,7 @@ impl NodeState {
 ///
 /// A probe window delivers a batch of same-destination packets to each
 /// node per tick, and every packet of a trace revisits the same nodes
-/// round after round — so the table lookup in [`Simulator::forward`]
+/// round after round — so the table lookup in [`SimState::forward`]
 /// almost always repeats the node's previous one. The memo collapses
 /// those repeats to three compares. Only plain [`NextHop::Iface`]
 /// results are cached: balanced next hops must take the full path every
@@ -171,9 +171,21 @@ struct FwdMemo {
 const FWD_MEMO_EMPTY: FwdMemo = FwdMemo { dst: 0, epoch: 0, version: 0, egress: 0 };
 
 /// The simulator: owns runtime state over a shared immutable topology.
+///
+/// The two halves are disjoint fields, so the packet path borrows the
+/// topology (`&self.topo`) while mutating the state (`&mut self.st`)
+/// with no refcount traffic: many simulators (one per campaign worker)
+/// can share one `Arc<Topology>` without contending on its counter.
 #[derive(Debug)]
 pub struct Simulator {
     topo: Arc<Topology>,
+    st: SimState,
+}
+
+/// Everything a [`Simulator`] mutates. Packet-path methods live here and
+/// take the immutable topology as an explicit `&Topology` argument.
+#[derive(Debug)]
+struct SimState {
     clock: SimTime,
     next_seq: u64,
     /// Pending events, popped in exact `(time, seq)` order — a timing
@@ -183,10 +195,10 @@ pub struct Simulator {
     /// The current tick's events, drained from the wheel in one batch
     /// ([`EventWheel::pop_tick_into`]) and stored *reversed* so
     /// `Vec::pop` serves them in ascending `(time, seq)` order.
-    /// [`Simulator::next_event`] interleaves this batch with the wheel
+    /// [`SimState::next_event`] interleaves this batch with the wheel
     /// for events scheduled mid-batch.
     tick_events: Vec<(SimTime, u64, EventKind)>,
-    state: Vec<NodeState>,
+    nodes: Vec<NodeState>,
     /// Delivery lanes, one per node, indexed by `NodeId` — no hashing
     /// anywhere on the delivery or drain path.
     inbox: Vec<VecDeque<(SimTime, Packet)>>,
@@ -213,7 +225,11 @@ pub struct Simulator {
     route_version: u64,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 — the workspace's seed-chain mixer. Every derived seed
+/// (per-node simulator state, per-unit campaign streams, retry jitter,
+/// snapshot fingerprints) is a `splitmix64` chain over its inputs, so
+/// changing this function changes every digest.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -238,11 +254,11 @@ impl Simulator {
             inbox_dirty: false,
             epoch: 0,
         };
-        Simulator {
-            state: vec![template; topology.nodes.len()],
-            inbox: (0..topology.nodes.len()).map(|_| VecDeque::new()).collect(),
-            fwd_memo: vec![FWD_MEMO_EMPTY; topology.nodes.len()],
-            topo: topology,
+        let n = topology.nodes.len();
+        let st = SimState {
+            nodes: vec![template; n],
+            inbox: (0..n).map(|_| VecDeque::new()).collect(),
+            fwd_memo: vec![FWD_MEMO_EMPTY; n],
             clock: SimTime::ZERO,
             next_seq: 0,
             queue: EventWheel::new(),
@@ -254,7 +270,8 @@ impl Simulator {
             seed,
             epoch: 1,
             route_version: 0,
-        }
+        };
+        Simulator { topo: topology, st }
     }
 
     /// Rewind to the state `Simulator::new(topology, seed)` would
@@ -265,42 +282,32 @@ impl Simulator {
     /// *not* O(nodes) — cheap enough to call once per `(destination,
     /// round)` campaign work unit.
     pub fn reset(&mut self, seed: u64) {
+        let st = &mut self.st;
         // clear() hands events back in arbitrary order — ordering is
         // irrelevant when everything is being released — and keeps the
         // wheel's slab and batch capacities warm.
-        let arena = &mut self.arena;
-        for (_, _, kind) in self.tick_events.drain(..) {
+        let arena = &mut st.arena;
+        for (_, _, kind) in st.tick_events.drain(..) {
             if let EventKind::Arrival { packet, .. } = kind {
                 arena.release(packet);
             }
         }
-        self.queue.clear(|kind| {
+        st.queue.clear(|kind| {
             if let EventKind::Arrival { packet, .. } = kind {
                 arena.release(packet);
             }
         });
-        for node in self.dirty_inboxes.drain(..) {
-            for (_, packet) in self.inbox[node.0].drain(..) {
-                self.arena.recycle_packet(packet);
+        for node in st.dirty_inboxes.drain(..) {
+            for (_, packet) in st.inbox[node.0].drain(..) {
+                st.arena.recycle_packet(packet);
             }
         }
-        debug_assert!(self.arena.is_empty(), "in-flight packet leaked across reset");
-        self.clock = SimTime::ZERO;
-        self.next_seq = 0;
-        self.stats = SimStats::default();
-        self.seed = seed;
-        self.epoch += 1;
-    }
-
-    /// Re-derive `node`'s state if it is stale (first touch after a
-    /// reset). Every path that reads or writes mutable node state goes
-    /// through here first.
-    #[inline]
-    fn freshen(&mut self, node: NodeId) {
-        let st = &mut self.state[node.0];
-        if st.epoch != self.epoch {
-            *st = NodeState::fresh(self.seed, node.0, self.epoch);
-        }
+        debug_assert!(st.arena.is_empty(), "in-flight packet leaked across reset");
+        st.clock = SimTime::ZERO;
+        st.next_seq = 0;
+        st.stats = SimStats::default();
+        st.seed = seed;
+        st.epoch += 1;
     }
 
     /// The shared topology.
@@ -315,50 +322,44 @@ impl Simulator {
     /// pending (typically right after construction or a reset).
     pub fn set_wheel_shift(&mut self, shift: u32) {
         assert!(
-            self.queue.is_empty() && self.tick_events.is_empty(),
+            self.st.queue.is_empty() && self.st.tick_events.is_empty(),
             "cannot resize wheel buckets with events pending"
         );
-        self.queue = EventWheel::with_shift(shift);
+        self.st.queue = EventWheel::with_shift(shift);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.st.clock
     }
 
     /// Activity counters so far.
     pub fn stats(&self) -> SimStats {
-        self.stats
-    }
-
-    fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.schedule(time, seq, kind);
+        self.st.stats
     }
 
     /// Inject a packet originated by `node` at the current time.
     pub fn inject(&mut self, node: NodeId, packet: Packet) {
-        let packet = self.arena.alloc(packet);
-        self.schedule(self.clock, EventKind::Arrival { node, iface_in: None, packet });
+        let packet = self.st.arena.alloc(packet);
+        self.st.schedule(self.st.clock, EventKind::Arrival { node, iface_in: None, packet });
     }
 
     /// Hand a packet that already left the simulator (a consumed inbox
     /// delivery) back, so its payload buffer rejoins the recycling pool.
     pub fn recycle(&mut self, packet: Packet) {
-        self.arena.recycle_packet(packet);
+        self.st.arena.recycle_packet(packet);
     }
 
     /// Number of packets currently in flight (arena-resident).
     pub fn in_flight(&self) -> usize {
-        self.arena.live()
+        self.st.arena.live()
     }
 
     /// Total arena slots ever created. Bounded in-flight traffic stops
     /// growing this after warm-up — the zero-allocation evidence the
     /// benches and tests check.
     pub fn arena_slots(&self) -> usize {
-        self.arena.slot_count()
+        self.st.arena.slot_count()
     }
 
     /// Install (`Some`) or remove (`None`) a route at `node` at time `at`
@@ -370,7 +371,7 @@ impl Simulator {
         prefix: Ipv4Prefix,
         next_hop: Option<NextHop>,
     ) {
-        self.schedule(at, EventKind::RouteSet { node, prefix, next_hop });
+        self.st.schedule(at, EventKind::RouteSet { node, prefix, next_hop });
     }
 
     /// The time of the next pending event, if any — the head of the
@@ -378,12 +379,131 @@ impl Simulator {
     /// `&mut self` because the wheel may advance its cursor to locate
     /// the event (the answer, and event order, are unaffected).
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let batch = self.tick_events.last().map(|&(time, seq, _)| (time, seq));
-        match (batch, self.queue.next_key()) {
+        let batch = self.st.tick_events.last().map(|&(time, seq, _)| (time, seq));
+        match (batch, self.st.queue.next_key()) {
             (Some(b), Some(w)) => Some(if w < b { w.0 } else { b.0 }),
             (Some(b), None) => Some(b.0),
             (None, w) => w.map(|(time, _)| time),
         }
+    }
+
+    /// Process a single event, advancing the clock to it. Returns `false`
+    /// when the queue is empty.
+    pub fn step(&mut self) -> bool {
+        let st = &mut self.st;
+        let Some((time, _seq, kind)) = st.next_event() else { return false };
+        debug_assert!(time >= st.clock, "event from the past");
+        st.clock = time;
+        match kind {
+            EventKind::Arrival { node, iface_in, packet } => {
+                st.process_arrival(&self.topo, node, iface_in, packet)
+            }
+            EventKind::RouteSet { node, prefix, next_hop } => {
+                st.freshen(node);
+                st.route_version += 1;
+                let routing = &mut st.nodes[node.0].routing;
+                match next_hop {
+                    Some(nh) => routing.set(prefix, nh),
+                    None => routing.remove(&self.topo.node(node).routing, prefix),
+                }
+            }
+        }
+        true
+    }
+
+    /// Process every event scheduled at or before `t`; the clock finishes
+    /// at exactly `t`.
+    pub fn run_until(&mut self, t: SimTime) {
+        while self.peek_time().is_some_and(|pt| pt <= t) {
+            self.step();
+        }
+        if self.st.clock < t {
+            self.st.clock = t;
+        }
+    }
+
+    /// Drain every pending event (packets die by TTL, so this terminates).
+    pub fn run_to_quiescence(&mut self) {
+        while self.step() {}
+    }
+
+    /// Take everything delivered to `node` since the last call.
+    ///
+    /// Allocates a fresh `Vec` per call — convenient in tests, wrong on
+    /// hot paths. Library code should use [`Simulator::take_inbox_into`]
+    /// (recycled buffer) or [`Simulator::pop_delivery`] instead.
+    ///
+    /// Debug builds enforce the epoch discipline: a node whose slot
+    /// still trails the simulator epoch has not participated in this
+    /// epoch at all, so any deliveries the caller hoped to read were
+    /// drained by [`Simulator::reset`]. Panicking beats silently
+    /// handing back an empty lane.
+    #[doc(hidden)]
+    pub fn take_inbox(&mut self, node: NodeId) -> Vec<(SimTime, Packet)> {
+        debug_assert_eq!(
+            self.st.nodes[node.0].epoch, self.st.epoch,
+            "take_inbox({node:?}) on a node untouched since the last reset: \
+             pre-reset deliveries were drained (stale-epoch read)"
+        );
+        let mut out = Vec::new();
+        self.take_inbox_into(node, &mut out);
+        out
+    }
+
+    /// Drain everything delivered to `node` since the last call into
+    /// `out`, appending. The lane's deque is drained in place (its
+    /// allocation survives), so round loops that pass a recycled buffer
+    /// reallocate nothing.
+    pub fn take_inbox_into(&mut self, node: NodeId, out: &mut Vec<(SimTime, Packet)>) {
+        out.extend(self.st.inbox[node.0].drain(..));
+    }
+
+    /// Pop the oldest delivery to `node`, if any.
+    pub fn pop_delivery(&mut self, node: NodeId) -> Option<(SimTime, Packet)> {
+        self.st.inbox[node.0].pop_front()
+    }
+
+    /// Number of undelivered packets waiting at `node`.
+    pub fn inbox_len(&self, node: NodeId) -> usize {
+        self.st.inbox[node.0].len()
+    }
+
+    /// A cleared payload buffer from the arena's recycling pool (fresh
+    /// when the pool is empty). Probe builders grab buffers here — via
+    /// the tracer-side `Transport::grab_payload` hook — so the payloads
+    /// of released responses circulate back into new probes and the
+    /// probe→response cycle stops allocating after warm-up.
+    pub fn grab_payload(&mut self) -> Vec<u8> {
+        self.st.arena.grab_payload()
+    }
+
+    /// Read `node`'s live routing state (tests and dynamics helpers):
+    /// the shared base table merged with this simulator's delta. A node
+    /// not yet touched since the last reset shows a pristine delta.
+    pub fn routing_of(&self, node: NodeId) -> NodeRouting<'_> {
+        let st = &self.st.nodes[node.0];
+        let delta =
+            if st.epoch == self.st.epoch { &st.routing } else { RouteDelta::pristine_ref() };
+        NodeRouting::new(&self.topo.node(node).routing, delta)
+    }
+}
+
+impl SimState {
+    /// Re-derive `node`'s state if it is stale (first touch after a
+    /// reset). Every path that reads or writes mutable node state goes
+    /// through here first.
+    #[inline]
+    fn freshen(&mut self, node: NodeId) {
+        let st = &mut self.nodes[node.0];
+        if st.epoch != self.epoch {
+            *st = NodeState::fresh(self.seed, node.0, self.epoch);
+        }
+    }
+
+    fn schedule(&mut self, time: SimTime, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.schedule(time, seq, kind);
     }
 
     /// The next event in global `(time, seq)` order.
@@ -408,125 +528,30 @@ impl Simulator {
         self.tick_events.pop()
     }
 
-    /// Process a single event, advancing the clock to it. Returns `false`
-    /// when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((time, _seq, kind)) = self.next_event() else { return false };
-        debug_assert!(time >= self.clock, "event from the past");
-        self.clock = time;
-        match kind {
-            EventKind::Arrival { node, iface_in, packet } => {
-                self.process_arrival(node, iface_in, packet)
-            }
-            EventKind::RouteSet { node, prefix, next_hop } => {
-                self.freshen(node);
-                self.route_version += 1;
-                match next_hop {
-                    Some(nh) => self.state[node.0].routing.set(prefix, nh),
-                    None => {
-                        let topo = Arc::clone(&self.topo);
-                        self.state[node.0].routing.remove(&topo.node(node).routing, prefix);
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Process every event scheduled at or before `t`; the clock finishes
-    /// at exactly `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        while self.peek_time().is_some_and(|pt| pt <= t) {
-            self.step();
-        }
-        if self.clock < t {
-            self.clock = t;
-        }
-    }
-
-    /// Drain every pending event (packets die by TTL, so this terminates).
-    pub fn run_to_quiescence(&mut self) {
-        while self.step() {}
-    }
-
-    /// Take everything delivered to `node` since the last call.
-    ///
-    /// Allocates a fresh `Vec` per call — convenient in tests, wrong on
-    /// hot paths. Library code should use [`Simulator::take_inbox_into`]
-    /// (recycled buffer) or [`Simulator::pop_delivery`] instead.
-    ///
-    /// Debug builds enforce the epoch discipline: a node whose slot
-    /// still trails the simulator epoch has not participated in this
-    /// epoch at all, so any deliveries the caller hoped to read were
-    /// drained by [`Simulator::reset`]. Panicking beats silently
-    /// handing back an empty lane.
-    #[doc(hidden)]
-    pub fn take_inbox(&mut self, node: NodeId) -> Vec<(SimTime, Packet)> {
-        debug_assert_eq!(
-            self.state[node.0].epoch, self.epoch,
-            "take_inbox({node:?}) on a node untouched since the last reset: \
-             pre-reset deliveries were drained (stale-epoch read)"
-        );
-        let mut out = Vec::new();
-        self.take_inbox_into(node, &mut out);
-        out
-    }
-
-    /// Drain everything delivered to `node` since the last call into
-    /// `out`, appending. The lane's deque is drained in place (its
-    /// allocation survives), so round loops that pass a recycled buffer
-    /// reallocate nothing.
-    pub fn take_inbox_into(&mut self, node: NodeId, out: &mut Vec<(SimTime, Packet)>) {
-        out.extend(self.inbox[node.0].drain(..));
-    }
-
-    /// Pop the oldest delivery to `node`, if any.
-    pub fn pop_delivery(&mut self, node: NodeId) -> Option<(SimTime, Packet)> {
-        self.inbox[node.0].pop_front()
-    }
-
-    /// Number of undelivered packets waiting at `node`.
-    pub fn inbox_len(&self, node: NodeId) -> usize {
-        self.inbox[node.0].len()
-    }
-
-    /// A cleared payload buffer from the arena's recycling pool (fresh
-    /// when the pool is empty). Probe builders grab buffers here — via
-    /// the tracer-side `Transport::grab_payload` hook — so the payloads
-    /// of released responses circulate back into new probes and the
-    /// probe→response cycle stops allocating after warm-up.
-    pub fn grab_payload(&mut self) -> Vec<u8> {
-        self.arena.grab_payload()
-    }
-
-    /// Read `node`'s live routing state (tests and dynamics helpers):
-    /// the shared base table merged with this simulator's delta. A node
-    /// not yet touched since the last reset shows a pristine delta.
-    pub fn routing_of(&self, node: NodeId) -> NodeRouting<'_> {
-        let st = &self.state[node.0];
-        let delta = if st.epoch == self.epoch { &st.routing } else { RouteDelta::pristine_ref() };
-        NodeRouting::new(&self.topo.node(node).routing, delta)
-    }
-
     // ------------------------------------------------------------------
     // Packet processing
     // ------------------------------------------------------------------
 
-    fn process_arrival(&mut self, node: NodeId, iface_in: Option<usize>, packet: PacketRef) {
-        // One Arc bump pins the topology so node config is *borrowed* for
-        // the whole arrival — the hot path clones no NodeKind/config, and
-        // the packet itself stays parked in the arena.
-        let topo = Arc::clone(&self.topo);
+    fn process_arrival(
+        &mut self,
+        topo: &Topology,
+        node: NodeId,
+        iface_in: Option<usize>,
+        packet: PacketRef,
+    ) {
+        // Node config is borrowed from the topology for the whole
+        // arrival — the hot path clones no NodeKind/config, and the
+        // packet itself stays parked in the arena.
         let n = topo.node(node);
         if n.owns_addr(self.arena.get(packet).ip.dst) {
-            self.deliver_local(node, n, packet);
+            self.deliver_local(topo, node, n, packet);
             return;
         }
         match &n.kind {
             NodeKind::Host(_) => {
                 if iface_in.is_none() {
                     // Hosts route only their own packets (via gateway).
-                    self.forward(&topo, node, iface_in, packet);
+                    self.forward(topo, node, iface_in, packet);
                 } else {
                     // A host never forwards transit traffic.
                     self.stats.dropped_no_route += 1;
@@ -546,7 +571,7 @@ impl Simulator {
                         }
                         // Expired: quote the packet exactly as received —
                         // probe TTL 1 normally, 0 past a zero-TTL forwarder.
-                        self.expire(node, iface_in, cfg, packet);
+                        self.expire(topo, node, iface_in, cfg, packet);
                         return;
                     }
                     // Normal decrement; the Fig. 4 misconfiguration sends
@@ -564,15 +589,22 @@ impl Simulator {
                     }
                 }
                 if let Some(code) = cfg.broken {
-                    self.respond_unreachable(node, iface_in, cfg, packet, code);
+                    self.respond_unreachable(topo, node, iface_in, cfg, packet, code);
                     return;
                 }
-                self.forward(&topo, node, iface_in, packet);
+                self.forward(topo, node, iface_in, packet);
             }
         }
     }
 
-    fn deliver_local(&mut self, node: NodeId, n: &Node, packet: PacketRef) {
+    /// Local delivery, like [`SimState::expire`] and
+    /// [`SimState::respond_unreachable`], runs once or twice per probe
+    /// against a dozen or more transit arrivals, so all three stay out
+    /// of line: inlined, they more than tripled the size of the transit
+    /// loop in [`Simulator::step`], and its throughput then swung by tens
+    /// of percent with where the linker happened to place it.
+    #[inline(never)]
+    fn deliver_local(&mut self, topo: &Topology, node: NodeId, n: &Node, packet: PacketRef) {
         self.stats.delivered += 1;
         let packet = self.arena.take(packet);
         let probed_addr = packet.ip.dst;
@@ -581,14 +613,14 @@ impl Simulator {
             NodeKind::Router(r) => self.router_local_response(node, r, probed_addr, &packet),
         };
         self.freshen(node);
-        let st = &mut self.state[node.0];
+        let st = &mut self.nodes[node.0];
         if !st.inbox_dirty {
             st.inbox_dirty = true;
             self.dirty_inboxes.push(node);
         }
         self.inbox[node.0].push_back((self.clock, packet));
         if let Some(resp) = response {
-            self.originate(node, resp);
+            self.originate(topo, node, resp);
         }
     }
 
@@ -715,8 +747,10 @@ impl Simulator {
         }
     }
 
+    #[inline(never)]
     fn expire(
         &mut self,
+        topo: &Topology,
         node: NodeId,
         iface_in: Option<usize>,
         cfg: &RouterConfig,
@@ -735,7 +769,7 @@ impl Simulator {
         // The probe is consumed here: move it out, quote it, then hand
         // its payload buffer back to the pool.
         let packet = self.arena.take(packet);
-        let src_addr = self.responding_addr(node, iface_in);
+        let src_addr = responding_addr(topo, node, iface_in);
         self.stats.time_exceeded_sent += 1;
         let resp = self.icmp_response(
             node,
@@ -745,11 +779,13 @@ impl Simulator {
             IcmpKind::TimeExceeded,
         );
         self.arena.recycle_packet(packet);
-        self.originate(node, resp);
+        self.originate(topo, node, resp);
     }
 
+    #[inline(never)]
     fn respond_unreachable(
         &mut self,
+        topo: &Topology,
         node: NodeId,
         iface_in: Option<usize>,
         cfg: &RouterConfig,
@@ -767,7 +803,7 @@ impl Simulator {
             return;
         }
         let packet = self.arena.take(packet);
-        let src_addr = self.responding_addr(node, iface_in);
+        let src_addr = responding_addr(topo, node, iface_in);
         self.stats.dest_unreachable_sent += 1;
         let resp = self.icmp_response(
             node,
@@ -777,7 +813,7 @@ impl Simulator {
             IcmpKind::Unreachable(code),
         );
         self.arena.recycle_packet(packet);
-        self.originate(node, resp);
+        self.originate(topo, node, resp);
     }
 
     fn rate_limited(&mut self, node: NodeId, cfg: &RouterConfig) -> bool {
@@ -785,7 +821,7 @@ impl Simulator {
             return false;
         }
         self.freshen(node);
-        let state = &mut self.state[node.0];
+        let state = &mut self.nodes[node.0];
         if let Some(min) = cfg.icmp_min_interval {
             if let Some(last) = state.last_icmp {
                 if self.clock.since(last) < min {
@@ -826,21 +862,6 @@ impl Simulator {
         false
     }
 
-    /// The address a router answers from: by default the interface the
-    /// offending packet arrived on (the address classic traceroute
-    /// reports), or the primary address for fixed-responder routers.
-    fn responding_addr(&self, node: NodeId, iface_in: Option<usize>) -> Ipv4Addr {
-        let n = self.topo.node(node);
-        let fixed = matches!(
-            n.kind.as_router().map(|r| r.responder),
-            Some(crate::node::ResponderAddr::Fixed)
-        );
-        match iface_in {
-            Some(i) if !fixed => n.ifaces[i].addr,
-            _ => n.primary_addr(),
-        }
-    }
-
     fn icmp_response(
         &mut self,
         node: NodeId,
@@ -873,7 +894,7 @@ impl Simulator {
         transport: Transport,
     ) -> Packet {
         self.freshen(node);
-        let state = &mut self.state[node.0];
+        let state = &mut self.nodes[node.0];
         let mut ip = Ipv4Header::new(src, dst, transport.protocol(), initial_ttl);
         ip.identification = state.ip_id;
         state.ip_id = state.ip_id.wrapping_add(1);
@@ -882,15 +903,11 @@ impl Simulator {
 
     /// Send `packet` from `node` without TTL processing (the node is the
     /// packet's origin).
-    fn originate(&mut self, node: NodeId, packet: Packet) {
+    fn originate(&mut self, topo: &Topology, node: NodeId, packet: Packet) {
         let packet = self.arena.alloc(packet);
-        let topo = Arc::clone(&self.topo);
-        self.forward(&topo, node, None, packet);
+        self.forward(topo, node, None, packet);
     }
 
-    /// `topo` is the caller's pin of `self.topo` (one Arc bump per
-    /// arrival covers the whole event; re-pinning here would put a
-    /// second pair of atomic ops on every forwarded hop).
     fn forward(
         &mut self,
         topo: &Topology,
@@ -919,16 +936,16 @@ impl Simulator {
             && memo.version == self.route_version
             && memo.dst == u32::from(dst)
         {
-            self.transmit(node, memo.egress as usize, packet);
+            self.transmit(topo, node, memo.egress as usize, packet);
             return;
         }
         // The next hop stays borrowed from the shared base table (or this
         // simulator's delta) for the whole egress decision; balanced
         // egress sets are indexed in place, never cloned (the RNG draw
         // borrows a disjoint NodeState field, the packet a disjoint
-        // Simulator field).
+        // SimState field).
         let base = &topo.node(node).routing;
-        let st = &mut self.state[node.0];
+        let st = &mut self.nodes[node.0];
         let Some(next_hop) = NodeRouting::new(base, &st.routing).lookup(dst) else {
             self.stats.dropped_no_route += 1;
             self.arena.release(packet);
@@ -969,23 +986,23 @@ impl Simulator {
         // in on unless routing genuinely says so (it may, in a transient
         // forwarding loop — allow it; real routers do too).
         let _ = iface_in;
-        self.transmit(node, egress, packet);
+        self.transmit(topo, node, egress, packet);
     }
 
-    fn transmit(&mut self, node: NodeId, iface_idx: usize, packet: PacketRef) {
-        let iface = self.topo.node(node).ifaces[iface_idx];
+    fn transmit(&mut self, topo: &Topology, node: NodeId, iface_idx: usize, packet: PacketRef) {
+        let iface = topo.node(node).ifaces[iface_idx];
         let Some(link_id) = iface.link else {
             // Loopback/unattached interface: nowhere to go.
             self.stats.dropped_no_route += 1;
             self.arena.release(packet);
             return;
         };
-        let link = *self.topo.link(link_id);
+        let link = *topo.link(link_id);
         if link.loss > 0.0 {
             // forward() freshened this node before routing the packet
             // here, so the slot cannot be stale.
-            debug_assert_eq!(self.state[node.0].epoch, self.epoch);
-            if self.state[node.0].rng.gen::<f64>() < link.loss {
+            debug_assert_eq!(self.nodes[node.0].epoch, self.epoch);
+            if self.nodes[node.0].rng.gen::<f64>() < link.loss {
                 self.stats.dropped_loss += 1;
                 self.arena.release(packet);
                 return;
@@ -998,6 +1015,19 @@ impl Simulator {
             at,
             EventKind::Arrival { node: other.node, iface_in: Some(other.iface), packet },
         );
+    }
+}
+
+/// The address a router answers from: by default the interface the
+/// offending packet arrived on (the address classic traceroute
+/// reports), or the primary address for fixed-responder routers.
+fn responding_addr(topo: &Topology, node: NodeId, iface_in: Option<usize>) -> Ipv4Addr {
+    let n = topo.node(node);
+    let fixed =
+        matches!(n.kind.as_router().map(|r| r.responder), Some(crate::node::ResponderAddr::Fixed));
+    match iface_in {
+        Some(i) if !fixed => n.ifaces[i].addr,
+        _ => n.primary_addr(),
     }
 }
 
@@ -1560,6 +1590,68 @@ mod tests {
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 30, 34567));
         sim.run_to_quiescence();
         assert_eq!(sim.take_inbox(s).len(), 1);
+    }
+
+    #[test]
+    fn route_set_then_removal_restores_the_base_egress() {
+        // S — r — a — D and r — c — D: r's base table sends D's traffic
+        // via a; a mid-run host route diverts it via c until a later
+        // removal hands it back to the base table. D ignores UDP, so a
+        // probe that reaches it draws no response back through r.
+        let mut b = TopologyBuilder::new();
+        let s = b.host("S", HostConfig::default());
+        let r = b.router("r", RouterConfig::default());
+        let a = b.router("a", RouterConfig::default());
+        let c = b.router("c", RouterConfig::default());
+        let d = b.host("D", HostConfig { udp_responds: false, ..HostConfig::default() });
+        b.link(s, r, SimDuration::from_millis(1), 0.0);
+        b.link(r, a, SimDuration::from_millis(1), 0.0);
+        b.link(r, c, SimDuration::from_millis(1), 0.0);
+        b.link(a, d, SimDuration::from_millis(1), 0.0);
+        b.link(c, d, SimDuration::from_millis(1), 0.0);
+        b.default_via(s, r);
+        b.default_via(r, a);
+        b.default_via(a, d);
+        b.default_via(c, d);
+        b.default_via(d, a);
+        let s_pfx = b.subnet_of(s);
+        b.route_via(a, s_pfx, r);
+        b.route_via(c, s_pfx, r);
+        b.route_via(r, s_pfx, s);
+        let dst = b.addr_of(d);
+        let topo = Arc::new(b.build());
+        let facing_r = |n: NodeId| topo.node(n).ifaces[topo.iface_toward(n, r).unwrap()].addr;
+        let (via_a, via_c) = (facing_r(a), facing_r(c));
+        let toward_c = topo.iface_toward(r, c).unwrap();
+        let src = src_addr(&topo, s);
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+
+        let mut sim = Simulator::new(topo.clone(), 1);
+        sim.schedule_route_set(ms(30), r, Ipv4Prefix::host(dst), Some(NextHop::Iface(toward_c)));
+        sim.schedule_route_set(ms(60), r, Ipv4Prefix::host(dst), None);
+        // Each phase ends with a probe that D swallows, so the last
+        // packet r forwards before a route change is bound for D: r's
+        // forwarding memo then holds D's pre-change egress, and the next
+        // phase's first probe sees it unless the change invalidated it.
+        let phase = |sim: &mut Simulator, port: u16| -> Vec<Ipv4Addr> {
+            let answers = (port..port + 2)
+                .map(|p| {
+                    sim.inject(s, udp_probe(src, dst, 2, p));
+                    sim.run_until(sim.now() + SimDuration::from_millis(5));
+                    sim.take_inbox(s)[0].1.ip.src
+                })
+                .collect();
+            sim.inject(s, udp_probe(src, dst, 30, port + 2));
+            sim.run_until(sim.now() + SimDuration::from_millis(5));
+            answers
+        };
+        assert_eq!(phase(&mut sim, 33435), [via_a, via_a], "base table");
+        sim.run_until(ms(30));
+        assert_eq!(phase(&mut sim, 33438), [via_c, via_c], "installed override");
+        sim.run_until(ms(60));
+        assert_eq!(phase(&mut sim, 33441), [via_a, via_a], "removal restores the base egress");
+        assert_eq!(sim.stats().dropped_host_mute, 3, "every phase's last probe reached D");
+        assert!(sim.routing_of(r).lookup(dst).is_some());
     }
 
     #[test]

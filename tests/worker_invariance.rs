@@ -4,6 +4,10 @@
 //! never from the worker that claimed it — and merging is
 //! order-insensitive, so a fixed-seed campaign's canonical digest must
 //! be *byte-identical* for any number of workers.
+//!
+//! Every digest test also runs 2 workers — the pool configuration the
+//! `sbs-pool` benchmark workload measures — beside the counts its name
+//! lists.
 
 use paris_traceroute_repro::campaign::{
     multipath_digest, report_digest, run, run_multipath, CampaignConfig, CampaignResult,
@@ -26,7 +30,7 @@ fn digest_is_byte_identical_for_workers_1_4_8() {
     let net = net();
     let baseline = campaign(&net, 1, DynamicsConfig::default());
     let baseline_digest = report_digest(&baseline);
-    for workers in [4, 8] {
+    for workers in [2, 4, 8] {
         let result = campaign(&net, workers, DynamicsConfig::default());
         assert_eq!(result.comparison, baseline.comparison, "workers = {workers}");
         assert_eq!(
@@ -45,7 +49,7 @@ fn digest_is_byte_identical_for_workers_1_4_8_without_dynamics() {
     // draws (ports, dynamics) do.
     let net = net();
     let baseline = report_digest(&campaign(&net, 1, DynamicsConfig::none()));
-    for workers in [4, 8] {
+    for workers in [2, 4, 8] {
         let digest = report_digest(&campaign(&net, workers, DynamicsConfig::none()));
         assert_eq!(digest, baseline, "workers = {workers}");
     }
@@ -67,7 +71,7 @@ fn multipath_digest_is_byte_identical_for_workers_1_4_8() {
     let baseline = campaign(1);
     let baseline_digest = multipath_digest(&baseline);
     assert!(baseline.report.balanced_dests > 0, "the workload must exercise balancers");
-    for workers in [4, 8] {
+    for workers in [2, 4, 8] {
         let result = campaign(workers);
         assert_eq!(
             multipath_digest(&result),
@@ -98,7 +102,7 @@ fn adaptive_multipath_digest_is_worker_invariant_under_faults() {
     };
     let baseline = campaign(1);
     let baseline_digest = multipath_digest(&baseline);
-    for workers in [4, 8] {
+    for workers in [2, 4, 8] {
         let result = campaign(workers);
         assert_eq!(
             multipath_digest(&result),
